@@ -56,7 +56,6 @@ BM_BuildStreamedPlan(benchmark::State& state)
 {
     const BuiltModel& m = model();
     static const SearchSpace space = enumerate_search_space(m.graph());
-    const Scheduler scheduler(m.graph(), space);
     ScheduleConfig cfg;
     cfg.group_chunk.assign(space.groups.size(), 1);
     cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
@@ -65,6 +64,9 @@ BM_BuildStreamedPlan(benchmark::State& state)
             g.chunk_options.back();
     cfg.use_streams = true;
     for (auto _ : state) {
+        // A fresh scheduler per build: the staged memo would otherwise
+        // reduce every build after the first to the interleave.
+        const Scheduler scheduler(m.graph(), space);
         const ExecutionPlan plan = scheduler.build(cfg);
         benchmark::DoNotOptimize(plan.steps.size());
     }

@@ -167,13 +167,10 @@ config_fits(const SearchSpace& space, const Scheduler& sched,
         }
     }
     if (config.use_streams) {
-        ScheduleConfig probe = config;
-        probe.use_streams = false;
-        probe.epoch_choice.clear();
-        const StreamSpace ss = sched.stream_space(
-            sched.build_units(probe), config.num_streams);
+        const std::shared_ptr<const StreamSpace> ss =
+            sched.cached_stream_space(config, config.num_streams);
         std::map<std::pair<int, int>, size_t> options;
-        for (const EpochInfo& e : ss.epochs)
+        for (const EpochInfo& e : ss->epochs)
             options[{e.super_epoch, e.level}] = e.options.size();
         for (const auto& [key, choice] : config.epoch_choice) {
             const auto it = options.find(key);

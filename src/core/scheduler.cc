@@ -12,7 +12,8 @@ namespace astra {
 
 Scheduler::Scheduler(const Graph& graph, const SearchSpace& space,
                      SchedulerOptions opts)
-    : graph_(graph), space_(space), opts_(opts)
+    : graph_(graph), space_(space), opts_(opts),
+      stages_(space.strategies.size())
 {}
 
 namespace {
@@ -492,19 +493,151 @@ Scheduler::stream_space(const std::vector<PlanStep>& units,
     return ss;
 }
 
+namespace {
+
+void
+put_num(std::string& sig, int64_t v)
+{
+    sig += std::to_string(v);
+    sig += ',';
+}
+
+/**
+ * Strings (profile keys) are length-prefixed so no key can alias
+ * another by embedding a separator.
+ */
+void
+put_str(std::string& sig, const std::string& s)
+{
+    put_num(sig, static_cast<int64_t>(s.size()));
+    sig += s;
+}
+
+/**
+ * Serialize every field build_units reads into the units-memo key.
+ * The profile keys are included because build_units writes them into
+ * the steps.
+ */
+std::string
+units_signature(const ScheduleConfig& c)
+{
+    std::string sig;
+    sig.reserve(128);
+    put_num(sig, c.strategy);
+    put_num(sig, c.elementwise_fusion ? 1 : 0);
+    sig += "ch;";
+    for (int v : c.group_chunk)
+        put_num(sig, v);
+    sig += "gl;";
+    for (GemmLib lib : c.group_lib)
+        put_num(sig, static_cast<int>(lib));
+    sig += "sl;";
+    for (const auto& [id, lib] : c.single_lib) {
+        put_num(sig, id);
+        put_num(sig, static_cast<int>(lib));
+    }
+    sig += "gk;";
+    for (const auto& [id, key] : c.group_keys) {
+        put_num(sig, id);
+        put_str(sig, key);
+    }
+    sig += "sk;";
+    for (const auto& [id, key] : c.single_keys) {
+        put_num(sig, id);
+        put_str(sig, key);
+    }
+    return sig;
+}
+
+/**
+ * Serialize every plan-affecting field of a ScheduleConfig into the
+ * plan-cache key: the units signature plus the stream fields.
+ */
+std::string
+plan_signature(const ScheduleConfig& c)
+{
+    std::string sig = units_signature(c);
+    sig += "st;";
+    put_num(sig, c.use_streams ? 1 : 0);
+    put_num(sig, c.num_streams);
+    sig += "ec;";
+    for (const auto& [se, opt] : c.epoch_choice) {
+        put_num(sig, se.first);
+        put_num(sig, se.second);
+        put_num(sig, opt);
+    }
+    sig += "ek;";
+    for (const auto& [se, key] : c.epoch_keys) {
+        put_num(sig, se.first);
+        put_num(sig, se.second);
+        put_str(sig, key);
+    }
+    return sig;
+}
+
+}  // namespace
+
+Scheduler::Staged
+Scheduler::staged(const ScheduleConfig& config, int num_streams) const
+{
+    ASTRA_ASSERT(config.strategy >= 0 &&
+                 config.strategy < static_cast<int>(stages_.size()));
+    const std::string units_sig = units_signature(config);
+    UnitsStage& slot = stages_[static_cast<size_t>(config.strategy)];
+    Staged out;
+    {
+        std::lock_guard<std::mutex> lock(stage_mu_);
+        if (slot.sig == units_sig) {
+            out.units = slot.units;
+            const auto it = slot.spaces.find(num_streams);
+            if (it != slot.spaces.end())
+                out.space = it->second;
+        }
+    }
+    // Build outside the lock: a threaded wirer builds every strategy
+    // at once. Equal signatures give equal units, so a racing build of
+    // the same binding is redundant work, never a wrong result.
+    if (!out.units)
+        out.units = std::make_shared<const std::vector<PlanStep>>(
+            build_units(config));
+    if (!out.space)
+        out.space = std::make_shared<const StreamSpace>(
+            stream_space(*out.units, num_streams));
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    if (slot.sig != units_sig) {
+        slot.sig = units_sig;
+        slot.units = out.units;
+        slot.spaces.clear();
+    }
+    slot.spaces.emplace(num_streams, out.space);
+    return out;
+}
+
+std::shared_ptr<const StreamSpace>
+Scheduler::cached_stream_space(const ScheduleConfig& config,
+                               int num_streams) const
+{
+    ASTRA_ASSERT(num_streams >= 1);
+    return staged(config, num_streams).space;
+}
+
 ExecutionPlan
 Scheduler::build(const ScheduleConfig& config) const
 {
     obs::ScopedSpan span(obs::Category::Wire, "scheduler.build");
-    std::vector<PlanStep> units = build_units(config);
     ExecutionPlan plan;
     if (!config.use_streams) {
+        // The plan is the units themselves. Memoizing them would copy
+        // every step for a binding that build_cached already caches by
+        // plan signature, so only streamed builds use the memo.
         plan.num_streams = 1;
-        plan.steps = std::move(units);
+        plan.steps = build_units(config);
         return plan;
     }
 
-    const StreamSpace ss = stream_space(units, config.num_streams);
+    const Staged st = staged(config, config.num_streams);
+    const std::vector<PlanStep>& units = *st.units;
+    const StreamSpace& ss = *st.space;
     plan.num_streams = config.num_streams;
 
     int prev_se = 0;
@@ -559,68 +692,6 @@ Scheduler::build(const ScheduleConfig& config) const
     }
     return plan;
 }
-
-namespace {
-
-/**
- * Serialize every plan-affecting field of a ScheduleConfig into a
- * cache key. Strings (profile keys) are length-prefixed so no key can
- * alias another by embedding a separator.
- */
-std::string
-plan_signature(const ScheduleConfig& c)
-{
-    std::string sig;
-    sig.reserve(128);
-    auto num = [&sig](int64_t v) {
-        sig += std::to_string(v);
-        sig += ',';
-    };
-    auto str = [&sig, &num](const std::string& s) {
-        num(static_cast<int64_t>(s.size()));
-        sig += s;
-    };
-    num(c.strategy);
-    num(c.elementwise_fusion ? 1 : 0);
-    num(c.use_streams ? 1 : 0);
-    num(c.num_streams);
-    sig += "ch;";
-    for (int v : c.group_chunk)
-        num(v);
-    sig += "gl;";
-    for (GemmLib lib : c.group_lib)
-        num(static_cast<int>(lib));
-    sig += "sl;";
-    for (const auto& [id, lib] : c.single_lib) {
-        num(id);
-        num(static_cast<int>(lib));
-    }
-    sig += "ec;";
-    for (const auto& [se, opt] : c.epoch_choice) {
-        num(se.first);
-        num(se.second);
-        num(opt);
-    }
-    sig += "gk;";
-    for (const auto& [id, key] : c.group_keys) {
-        num(id);
-        str(key);
-    }
-    sig += "sk;";
-    for (const auto& [id, key] : c.single_keys) {
-        num(id);
-        str(key);
-    }
-    sig += "ek;";
-    for (const auto& [se, key] : c.epoch_keys) {
-        num(se.first);
-        num(se.second);
-        str(key);
-    }
-    return sig;
-}
-
-}  // namespace
 
 std::shared_ptr<const ExecutionPlan>
 Scheduler::build_cached(const ScheduleConfig& config) const

@@ -127,8 +127,31 @@ class Scheduler
     StreamSpace stream_space(const std::vector<PlanStep>& units,
                              int num_streams = 2) const;
 
-    /** Full plan for the configuration. */
+    /**
+     * Full plan for the configuration, built in three stages: units,
+     * stream space and interleave. The first two read only part of the
+     * config, so they are memoized (see cached_stream_space()); only
+     * the interleave (epoch_choice, epoch_keys) runs on every call.
+     * Without streams the plan is the units, built directly. The
+     * result equals the plan an empty Scheduler builds.
+     */
     ExecutionPlan build(const ScheduleConfig& config) const;
+
+    /**
+     * stream_space(build_units(config), num_streams) through the staged
+     * memo. Units are keyed by the units signature: strategy,
+     * elementwise fusion, group chunks and libraries, single libraries
+     * and the group/single profile keys, which build_units writes into
+     * the steps. Stream spaces hang off that entry, keyed by
+     * num_streams. The memo keeps one entry per allocation strategy:
+     * the wirer explores each strategy's stages in order, so the last
+     * fusion binding seen is the one its next candidates reuse, and
+     * memory stays bounded however long the search runs. Thread-safe;
+     * the returned space is immutable and shared.
+     */
+    std::shared_ptr<const StreamSpace>
+    cached_stream_space(const ScheduleConfig& config,
+                        int num_streams) const;
 
     /**
      * build() through a signature-keyed cache: repeated dispatches of
@@ -180,6 +203,29 @@ class Scheduler
     const SchedulerOptions& options() const { return opts_; }
 
   private:
+    /** Memoized units and stream spaces of one fusion binding. */
+    struct UnitsStage
+    {
+        /** Units signature of `units` ("" while the slot is empty). */
+        std::string sig;
+        std::shared_ptr<const std::vector<PlanStep>> units;
+        /** num_streams -> stream space over `units`. */
+        std::map<int, std::shared_ptr<const StreamSpace>> spaces;
+    };
+
+    /** What staged() returns: units and their stream space. */
+    struct Staged
+    {
+        std::shared_ptr<const std::vector<PlanStep>> units;
+        std::shared_ptr<const StreamSpace> space;
+    };
+
+    /**
+     * Units for the config's fusion binding and their stream space
+     * over num_streams, read from or added to the strategy's memo slot.
+     */
+    Staged staged(const ScheduleConfig& config, int num_streams) const;
+
     /** One assembly pass (no cycle repair); forced_chunk caps groups. */
     std::vector<PlanStep>
     assemble_units(const ScheduleConfig& config,
@@ -191,6 +237,10 @@ class Scheduler
     const Graph& graph_;
     const SearchSpace& space_;
     SchedulerOptions opts_;
+
+    /** One staged-memo slot per allocation strategy. */
+    mutable std::mutex stage_mu_;
+    mutable std::vector<UnitsStage> stages_;
 
     mutable std::mutex cache_mu_;
     mutable std::unordered_map<std::string,

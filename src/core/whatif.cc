@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/config_io.h"
+#include "obs/obs.h"
 #include "runtime/dispatcher.h"
 #include "runtime/executor.h"
 #include "support/logging.h"
@@ -119,6 +120,7 @@ WhatIfEngine::WhatIfEngine(const Graph& graph, const TensorMap& tmap,
 ReplayResult
 WhatIfEngine::evaluate(const ScheduleConfig& config) const
 {
+    obs::ScopedSpan span(obs::Category::Wire, "whatif.evaluate");
     // The plan cache includes the profiling-key attachments in its
     // signature, so what-if sweeps that revisit a lowering (anchors,
     // co-varied walks) skip the scheduler entirely.

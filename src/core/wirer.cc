@@ -1071,14 +1071,13 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                                    "wirer.stage.streams");
         const StageMark before = mark();
         int64_t stream_exhaustive = 1;
-        const std::vector<PlanStep> units =
-            scheduler_.build_units(current_config(false));
-        const StreamSpace ss =
-            scheduler_.stream_space(units, opts_.num_streams);
+        const std::shared_ptr<const StreamSpace> ss =
+            scheduler_.cached_stream_space(current_config(false),
+                                           opts_.num_streams);
 
         // Parallel over super-epochs; Prefix over epochs within.
         std::map<int, std::vector<const EpochInfo*>> by_se;
-        for (const EpochInfo& e : ss.epochs)
+        for (const EpochInfo& e : ss->epochs)
             by_se[e.super_epoch].push_back(&e);
 
         // Warm stream transfer is all-or-nothing: a Prefix freeze

@@ -17,6 +17,7 @@ namespace astra {
 WiredProgram
 compile_plan(const ExecutionPlan& plan, const Graph& graph, bool profiling)
 {
+    obs::ScopedSpan span(obs::Category::Wire, "wired.compile");
     const int num_steps = static_cast<int>(plan.steps.size());
     WiredProgram prog;
     prog.num_streams = plan.num_streams;

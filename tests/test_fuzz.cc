@@ -152,6 +152,112 @@ TEST_P(FuzzPipeline, EveryConfigurationIsValueIdentical)
     }
 }
 
+/**
+ * Differential check of the scheduler's staged memo: one Scheduler
+ * builds a random config sequence (strategies, fusion, libraries,
+ * profile keys, stream counts, epoch choices and keys) and every plan
+ * must equal a fresh Scheduler's, down to the simulated time.
+ */
+TEST_P(FuzzPipeline, MemoizedBuildMatchesFreshScheduler)
+{
+    GraphBuilder gb = random_graph(GetParam());
+    const Graph& g = gb.graph();
+    const SearchSpace space = enumerate_search_space(g);
+    SchedulerOptions sopts;
+    sopts.super_epoch_ns = 50000.0;
+    const Scheduler shared(g, space, sopts);
+
+    std::vector<NodeId> matmuls;
+    for (const Node& n : g.nodes())
+        if (n.is_matmul())
+            matmuls.push_back(n.id);
+
+    Rng cfg_rng(GetParam() * 131 + 17);
+    auto pick = [&cfg_rng](size_t n) {
+        return static_cast<int>(cfg_rng.next_below(n));
+    };
+    auto draw_binding = [&](ScheduleConfig& cfg) {
+        cfg.strategy = pick(space.strategies.size());
+        cfg.elementwise_fusion = pick(4) != 0;
+        cfg.group_chunk.assign(space.groups.size(), 1);
+        cfg.group_lib.assign(space.groups.size(), GemmLib::Cublas);
+        for (const FusionGroup& grp : space.groups) {
+            cfg.group_chunk[static_cast<size_t>(grp.id)] =
+                grp.chunk_options[static_cast<size_t>(
+                    pick(grp.chunk_options.size()))];
+            cfg.group_lib[static_cast<size_t>(grp.id)] =
+                static_cast<GemmLib>(pick(kNumGemmLibs));
+        }
+        cfg.single_lib.clear();
+        for (NodeId id : matmuls)
+            if (pick(2) == 0)
+                cfg.single_lib[id] =
+                    static_cast<GemmLib>(pick(kNumGemmLibs));
+    };
+    auto draw_group_keys = [&](ScheduleConfig& cfg) {
+        const std::string tag = "#" + std::to_string(pick(3));
+        cfg.group_keys.clear();
+        for (const FusionGroup& grp : space.groups)
+            if (pick(2) == 0)
+                cfg.group_keys[grp.id] = "g" + std::to_string(grp.id) + tag;
+    };
+    auto draw_single_keys = [&](ScheduleConfig& cfg) {
+        const std::string tag = "#" + std::to_string(pick(3));
+        cfg.single_keys.clear();
+        for (NodeId id : matmuls)
+            if (pick(2) == 0)
+                cfg.single_keys[id] = "m" + std::to_string(id) + tag;
+    };
+
+    // Each trial changes one thing about the previous config, so the
+    // sequence walks the memo through hits and every kind of miss.
+    ScheduleConfig cfg;
+    draw_binding(cfg);
+    draw_group_keys(cfg);
+    draw_single_keys(cfg);
+    for (int trial = 0; trial < 24; ++trial) {
+        switch (pick(8)) {
+          case 0: draw_binding(cfg); break;
+          case 1: cfg.strategy = pick(space.strategies.size()); break;
+          case 2: draw_group_keys(cfg); break;
+          case 3: draw_single_keys(cfg); break;
+          case 4: cfg.elementwise_fusion = !cfg.elementwise_fusion; break;
+          case 5: cfg.use_streams = !cfg.use_streams; break;
+          case 6: cfg.num_streams = 1 + pick(3); break;
+          default: break;  // stream fields only
+        }
+        cfg.epoch_choice.clear();
+        cfg.epoch_keys.clear();
+        // Epoch choices over this binding's real stream space; the
+        // last value of each draw is out of range, which build()
+        // clamps.
+        const Scheduler fresh(g, space, sopts);
+        const StreamSpace ss = fresh.stream_space(
+            fresh.build_units(cfg), cfg.num_streams);
+        for (const EpochInfo& e : ss.epochs) {
+            const std::pair<int, int> key{e.super_epoch, e.level};
+            cfg.epoch_choice[key] = pick(e.options.size() + 1);
+            if (pick(2) == 0)
+                cfg.epoch_keys[key] = "e" + std::to_string(e.super_epoch) +
+                                      "." + std::to_string(e.level);
+        }
+
+        const ExecutionPlan expect = fresh.build(cfg);
+        const ExecutionPlan got = shared.build(cfg);
+        ASSERT_TRUE(testutil::same_plan(got, expect))
+            << "seed " << GetParam() << " trial " << trial;
+
+        const auto& runs =
+            space.strategies[static_cast<size_t>(cfg.strategy)].runs;
+        testutil::Runner a(g, runs);
+        testutil::Runner b(g, runs);
+        a.config().execute_kernels = false;
+        b.config().execute_kernels = false;
+        EXPECT_EQ(a.run(got).total_ns, b.run(expect).total_ns)
+            << "seed " << GetParam() << " trial " << trial;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzPipeline,
                          ::testing::Range<uint64_t>(1, 25));
 

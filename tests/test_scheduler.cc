@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "core/scheduler.h"
 #include "models/data.h"
@@ -132,10 +133,176 @@ TEST(Scheduler, PlanCacheHitsOnEqualConfigs)
     EXPECT_EQ(sched.plan_cache_misses() - misses0, 1);
 
     // The cached plan is the same lowering build() produces.
-    const ExecutionPlan direct = sched.build(cfg);
-    ASSERT_EQ(first->steps.size(), direct.steps.size());
-    for (size_t i = 0; i < direct.steps.size(); ++i)
-        EXPECT_EQ(first->steps[i].nodes, direct.steps[i].nodes);
+    EXPECT_TRUE(testutil::same_plan(*first, sched.build(cfg)));
+}
+
+/** Standalone MatMuls: those outside every fusion group. */
+std::vector<NodeId>
+standalone_matmuls(const Graph& g, const SearchSpace& space)
+{
+    std::set<NodeId> grouped;
+    for (const FusionGroup& grp : space.groups)
+        grouped.insert(grp.mms.begin(), grp.mms.end());
+    std::vector<NodeId> out;
+    for (const Node& n : g.nodes())
+        if (n.is_matmul() && !grouped.count(n.id))
+            out.push_back(n.id);
+    return out;
+}
+
+/**
+ * The i-th config of a sequence that walks the staged memo through
+ * every transition. Every 12 configs the chunking and libraries
+ * change. Within them the strategy alternates, so each strategy's
+ * memo slot sees every other config. From one of its configs to its
+ * next, exactly one of these changes: the group keys are renamed, the
+ * single keys are renamed, or elementwise fusion switches. Along the
+ * way num_streams cycles 1/2/3, streams switch off and on, and the
+ * epoch choices and keys vary.
+ */
+ScheduleConfig
+interleaved_config(const Graph& g, const SearchSpace& space, int i)
+{
+    const int phase = i / 12;
+    const int s = (i % 12) / 2;  // step within the strategy's slot
+    ScheduleConfig cfg = default_config(space, phase % 4);
+    cfg.elementwise_fusion = s != 5;
+    cfg.strategy = i % std::min<int>(
+                           2, static_cast<int>(space.strategies.size()));
+    cfg.use_streams = i % 5 != 2;
+    cfg.num_streams = 1 + (i / 4) % 3;
+    const std::string group_tag = "#" + std::to_string(std::min(s, 4) / 2);
+    const std::string single_tag =
+        "#" + std::to_string((std::min(s, 4) + 1) / 2);
+    for (const FusionGroup& grp : space.groups)
+        if ((grp.id + phase) % 2 == 0)
+            cfg.group_keys[grp.id] =
+                "g" + std::to_string(grp.id) + group_tag;
+    for (NodeId id : standalone_matmuls(g, space)) {
+        cfg.single_lib[id] =
+            static_cast<GemmLib>((id + phase) % kNumGemmLibs);
+        cfg.single_keys[id] = "m" + std::to_string(id) + single_tag;
+    }
+    for (int se = 0; se < 3; ++se)
+        for (int lv = 0; lv < 3; ++lv) {
+            cfg.epoch_choice[{se, lv}] = (i + se + lv) % 5;
+            if ((i + se) % 3 == 0)
+                cfg.epoch_keys[{se, lv}] =
+                    "e" + std::to_string(se) + "." + std::to_string(lv);
+        }
+    return cfg;
+}
+
+TEST(Scheduler, InterleavedBuildsMatchFreshScheduler)
+{
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    SchedulerOptions opts;
+    opts.super_epoch_ns = 150000.0;
+    const Scheduler shared(m.graph(), space, opts);
+    std::vector<ExecutionPlan> expect;
+    for (int i = 0; i < 48; ++i) {
+        const ScheduleConfig cfg = interleaved_config(m.graph(), space, i);
+        expect.push_back(Scheduler(m.graph(), space, opts).build(cfg));
+        EXPECT_TRUE(testutil::same_plan(shared.build(cfg), expect.back()))
+            << "config " << i;
+        EXPECT_TRUE(
+            testutil::same_plan(*shared.build_cached(cfg), expect.back()))
+            << "config " << i;
+    }
+    // The same walk backwards, after the memo moved on.
+    for (int i = 47; i >= 0; --i)
+        EXPECT_TRUE(testutil::same_plan(
+            shared.build(interleaved_config(m.graph(), space, i)),
+            expect[static_cast<size_t>(i)]))
+            << "config " << i << " revisited";
+}
+
+TEST(Scheduler, StagedMemoKeepsOneBindingPerStrategy)
+{
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    const Scheduler sched(m.graph(), space);
+    ScheduleConfig cfg = default_config(space, 2);
+    const auto first = sched.cached_stream_space(cfg, 2);
+
+    // Stream fields are not part of the units signature: the space is
+    // shared.
+    ScheduleConfig streamed = cfg;
+    streamed.use_streams = true;
+    streamed.epoch_choice[{0, 0}] = 1;
+    streamed.epoch_keys[{0, 0}] = "e0";
+    EXPECT_EQ(sched.cached_stream_space(streamed, 2).get(), first.get());
+    EXPECT_NE(sched.cached_stream_space(cfg, 3).get(), first.get());
+    EXPECT_EQ(sched.cached_stream_space(cfg, 2).get(), first.get());
+
+    // Another strategy has its own slot.
+    if (space.strategies.size() > 1) {
+        ScheduleConfig other = cfg;
+        other.strategy = 1;
+        sched.cached_stream_space(other, 2);
+        EXPECT_EQ(sched.cached_stream_space(cfg, 2).get(), first.get());
+    }
+
+    // Profile keys are part of it: a renamed key replaces the slot's
+    // binding, so the memo holds one binding per strategy.
+    ASSERT_FALSE(space.groups.empty());
+    ScheduleConfig keyed = cfg;
+    keyed.group_keys[space.groups[0].id] = "g0";
+    const auto rekeyed = sched.cached_stream_space(keyed, 2);
+    EXPECT_NE(rekeyed.get(), first.get());
+    EXPECT_NE(sched.cached_stream_space(cfg, 2).get(), first.get());
+
+    // A memoized space equals the uncached reference.
+    const StreamSpace ref =
+        sched.stream_space(sched.build_units(cfg), 2);
+    const auto again = sched.cached_stream_space(cfg, 2);
+    EXPECT_EQ(again->num_super_epochs, ref.num_super_epochs);
+    ASSERT_EQ(again->epochs.size(), ref.epochs.size());
+    for (size_t e = 0; e < ref.epochs.size(); ++e) {
+        EXPECT_EQ(again->epochs[e].units, ref.epochs[e].units);
+        EXPECT_EQ(again->epochs[e].options, ref.epochs[e].options);
+    }
+}
+
+TEST(Scheduler, ConcurrentBuildCachedMatchesSerial)
+{
+    const BuiltModel m = small_model();
+    const SearchSpace space = enumerate_search_space(m.graph());
+    SchedulerOptions opts;
+    opts.super_epoch_ns = 150000.0;
+    constexpr int kConfigs = 24;
+    std::vector<ScheduleConfig> cfgs;
+    std::vector<ExecutionPlan> expect;
+    for (int i = 0; i < kConfigs; ++i) {
+        cfgs.push_back(interleaved_config(m.graph(), space, i));
+        expect.push_back(Scheduler(m.graph(), space, opts).build(cfgs.back()));
+    }
+
+    // Every thread walks all configs from its own offset, so threads
+    // hit the same strategy slots with different bindings at once.
+    const Scheduler shared(m.graph(), space, opts);
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::shared_ptr<const ExecutionPlan>>> got(
+        kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            got[static_cast<size_t>(t)].resize(kConfigs);
+            for (int k = 0; k < kConfigs; ++k) {
+                const int i = (k + t * 5) % kConfigs;
+                got[static_cast<size_t>(t)][static_cast<size_t>(i)] =
+                    shared.build_cached(cfgs[static_cast<size_t>(i)]);
+            }
+        });
+    for (std::thread& th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kConfigs; ++i)
+            EXPECT_TRUE(testutil::same_plan(
+                *got[static_cast<size_t>(t)][static_cast<size_t>(i)],
+                expect[static_cast<size_t>(i)]))
+                << "thread " << t << " config " << i;
 }
 
 TEST(Scheduler, PlanCacheDistinguishesConfigs)

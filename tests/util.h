@@ -5,7 +5,10 @@
  */
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
+#include <string>
 
 #include "core/astra.h"
 #include "runtime/dispatcher.h"
@@ -75,6 +78,54 @@ max_abs_diff(const std::vector<float>& a, const std::vector<float>& b)
         worst = std::max(worst,
                          std::abs(static_cast<double>(a[i]) - b[i]));
     return worst;
+}
+
+/** Equal plans: same stream count and every PlanStep field equal. */
+inline ::testing::AssertionResult
+same_plan(const ExecutionPlan& a, const ExecutionPlan& b)
+{
+    if (a.num_streams != b.num_streams)
+        return ::testing::AssertionFailure()
+               << "num_streams " << a.num_streams << " vs "
+               << b.num_streams;
+    if (a.steps.size() != b.steps.size())
+        return ::testing::AssertionFailure()
+               << "step count " << a.steps.size() << " vs "
+               << b.steps.size();
+    for (size_t i = 0; i < a.steps.size(); ++i) {
+        const PlanStep& x = a.steps[i];
+        const PlanStep& y = b.steps[i];
+        const char* field = nullptr;
+        if (x.kind != y.kind)
+            field = "kind";
+        else if (x.nodes != y.nodes)
+            field = "nodes";
+        else if (x.lib != y.lib)
+            field = "lib";
+        else if (x.fused_axis != y.fused_axis)
+            field = "fused_axis";
+        else if (x.stream != y.stream)
+            field = "stream";
+        else if (x.profile != y.profile)
+            field = "profile";
+        else if (x.profile_key != y.profile_key)
+            field = "profile_key";
+        else if (x.epoch_metric != y.epoch_metric)
+            field = "epoch_metric";
+        else if (x.compound_cost.blocks != y.compound_cost.blocks ||
+                 x.compound_cost.block_ns != y.compound_cost.block_ns ||
+                 x.compound_cost.setup_ns != y.compound_cost.setup_ns ||
+                 x.compound_cost.max_sms != y.compound_cost.max_sms)
+            field = "compound_cost";
+        else if (x.compound_name != y.compound_name)
+            field = "compound_name";
+        else if (x.extra_setup_ns != y.extra_setup_ns)
+            field = "extra_setup_ns";
+        if (field)
+            return ::testing::AssertionFailure()
+                   << "step " << i << " differs in " << field;
+    }
+    return ::testing::AssertionSuccess();
 }
 
 }  // namespace astra::testutil
