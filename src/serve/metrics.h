@@ -42,6 +42,8 @@ struct BatchRecord
 
     /** FNV-1a of the serving config (bit-identity vs offline rewire). */
     uint64_t config_fnv = 0;
+
+    bool operator==(const BatchRecord&) const = default;
 };
 
 /** End-to-end outcome of one serve() run. */
@@ -97,7 +99,8 @@ struct ServeReport
     int64_t swaps = 0;
 
     /**
-     * Requests completed between the first injected clock step and the
+     * Requests completed fleet-wide between the first batch boundary at
+     * or after the first injected clock step (on any replica) and the
      * first drift detection (-1 when no drift was injected or never
      * detected) — the detection budget the serving CI job bounds.
      */
@@ -108,6 +111,9 @@ struct ServeReport
 
     /** Render the report as an aligned text block (benches, examples). */
     std::string to_text(const std::string& title) const;
+
+    /** Field-wise exact equality (parity and determinism checks). */
+    bool operator==(const ServeReport&) const = default;
 };
 
 /** Accumulates per-request / per-batch samples into a ServeReport. */

@@ -43,8 +43,8 @@ Replica::install(int bucket, BucketedServer::BucketPlan plan)
     ASTRA_ASSERT(plan.binary != nullptr);
     std::lock_guard<std::mutex> lock(slots_mu_);
     // First install into an empty slot is epoch 0 (the initial
-    // wiring), mirroring the single-server convention; every later
-    // install is a hot-swap and stamps the next epoch.
+    // wiring); every later install is a hot-swap and stamps the next
+    // epoch.
     auto& slot = slots_[static_cast<size_t>(bucket)];
     plan.epoch = slot.binary == nullptr ? 0 : slot.epoch + 1;
     slot = std::move(plan);

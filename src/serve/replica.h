@@ -6,8 +6,9 @@
  * owns its own simulated device configuration (its clock domain — an
  * independently-applied ClockStep schedule), its own installed wired
  * plans (one BucketPlan slot per length bucket, behind a swap mutex,
- * exactly the single-server install/snapshot discipline), its own
- * drift/degradation state, and its own counters. It deliberately does
+ * so a batch always replays a snapshot and an install between batches
+ * never mutates a blob mid-replay), its own drift/degradation state,
+ * and its own counters. It deliberately does
  * NOT own exploration sessions: all replicas serve plans lowered by the
  * fleet's prototype BucketedServer, so a fleet of G replicas costs one
  * wiring run, not G — the paper's predictability argument applied to
@@ -69,9 +70,9 @@ struct ReplicaOptions
 };
 
 /**
- * Plan slots + health + clock domain of one replica. Thread-safe where
- * the single-server slots are (install/plan snapshot under a mutex);
- * everything else is owned by the router's single-threaded DES loop.
+ * Plan slots + health + clock domain of one replica. install/plan
+ * snapshots are thread-safe (under a mutex); everything else is owned
+ * by the router's single-threaded DES loop.
  */
 class Replica
 {
@@ -86,7 +87,11 @@ class Replica
     /** Swap-safe snapshot of a bucket's installed plan. */
     BucketedServer::BucketPlan plan(int bucket) const;
 
-    /** Install a plan revision (stamps the next epoch). */
+    /**
+     * Install a plan revision: epoch 0 into an empty slot, the next
+     * epoch otherwise. A new epoch starts a fresh drift window by
+     * construction (watcher keys embed the epoch).
+     */
     void install(int bucket, BucketedServer::BucketPlan plan);
 
     /**

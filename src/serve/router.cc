@@ -149,6 +149,8 @@ ReplicaFleet::ReplicaFleet(FleetOptions opts)
 {
     ASTRA_ASSERT(opts_.replicas >= 1);
     ASTRA_ASSERT(!opts_.base.bucket_lengths.empty());
+    ASTRA_ASSERT(opts_.replica_clocks.size() <=
+                 static_cast<size_t>(opts_.replicas));
     faults_ = opts_.faults.empty() ? opts_.base.astra.gpu.faults
                                    : opts_.faults;
     proto_ = std::make_unique<BucketedServer>(opts_.base);
@@ -158,12 +160,9 @@ ReplicaFleet::ReplicaFleet(FleetOptions opts)
         ReplicaOptions ro;
         ro.id = i;
         ro.gpu = opts_.base.astra.gpu;
-        if (static_cast<size_t>(i) < opts_.replica_clocks.size() &&
-            !opts_.replica_clocks[static_cast<size_t>(i)].empty())
+        if (static_cast<size_t>(i) < opts_.replica_clocks.size())
             ro.clock_schedule =
                 opts_.replica_clocks[static_cast<size_t>(i)];
-        else if (i == 0)
-            ro.clock_schedule = opts_.base.clock_schedule;
         replicas_.push_back(
             std::make_unique<Replica>(std::move(ro), buckets));
     }
@@ -227,6 +226,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
         obs::counter("serve.failover.generic_batches");
     static obs::Counter& c_swap_back =
         obs::counter("serve.failover.swap_backs");
+    static obs::Counter& c_swaps = obs::counter("serve.swaps");
+    static obs::Counter& c_rewires = obs::counter("serve.rewires");
+    static obs::Counter& c_detect =
+        obs::counter("serve.drift_detections");
+    static obs::Counter& c_reject = obs::counter("serve.rejected");
 
     ASTRA_ASSERT(optimized_, "call optimize() first");
     obs::ScopedSpan span(obs::Category::Serve, "serve.fleet.loop");
@@ -239,7 +243,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
     rep.total.offered = static_cast<int64_t>(traffic.size());
     // Per-call state: every serve() starts at t=0 with fresh beliefs
     // (the fault schedule is absolute simulated time), while installed
-    // plans persist across calls like the single server's.
+    // plans persist across calls.
     for (auto& r : replicas_) {
         r->stats() = ReplicaStats{};
         r->set_health(ReplicaHealth::Healthy);
@@ -251,9 +255,10 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                          opts_.queue_policy);
     MetricsRecorder metrics;
 
-    // Same watcher discipline as the single server, with the replica
-    // id folded into the epoch-mangled key so one replica's drift
-    // never pollutes a peer's window.
+    // The drift watcher's measurement discipline: same policy family
+    // as exploration, but with the MAD outlier gate disarmed — a
+    // sustained regression is exactly the signal the watcher exists to
+    // see, not noise to reject.
     MeasurementPolicy watch_policy = opts_.base.astra.measurement;
     watch_policy.outlier_mad_k = 0.0;
     ProfileIndex watch(watch_policy);
@@ -345,10 +350,20 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
     std::vector<RetryEntry> retries;
     std::unordered_map<int64_t, int> attempts;
 
+    // Drift onset: the earliest clock step on any replica that moves
+    // the clock off its base rate.
+    double first_drift_ns = -1.0;
+    for (const std::vector<ClockStep>& clocks : opts_.replica_clocks)
+        for (const ClockStep& c : clocks)
+            if (c.clock_multiplier > 0.0 && c.clock_multiplier != 1.0 &&
+                (first_drift_ns < 0.0 || c.at_ns < first_drift_ns))
+                first_drift_ns = c.at_ns;
+
     double now_ns = 0.0;
     size_t next_arrival = 0;
     int64_t served_total = 0;
     int64_t served_at_down = -1;
+    int64_t served_at_drift = -1;
     int64_t victims = 0;  ///< admitted-then-evicted (capacity losses)
     double last_completion_ns = 0.0;
 
@@ -507,7 +522,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
             }
 
             // Drift watcher (wired path only: a degraded bucket is
-            // already invalidated and re-wiring).
+            // already invalidated and re-wiring). The replica id and
+            // the plan epoch are folded into the key: one replica's
+            // drift never pollutes a peer's window, and a hot swap
+            // starts a fresh one (key mangling *is* the
+            // invalidation).
             if (opts_.base.watcher.enabled && !f.generic &&
                 !pending_active[static_cast<size_t>(i)]
                                [static_cast<size_t>(f.bucket)]) {
@@ -528,6 +547,11 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                         // generic dispatch while the re-wire runs
                         // off-path.
                         ++rep.total.drift_detections;
+                        c_detect.add();
+                        if (rep.total.detection_request_budget < 0 &&
+                            served_at_drift >= 0)
+                            rep.total.detection_request_budget =
+                                served_total - served_at_drift;
                         r.set_degraded(f.bucket, true);
                         if (r.health() == ReplicaHealth::Healthy)
                             r.set_health(ReplicaHealth::Degraded);
@@ -543,6 +567,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                                           f.bucket)] = 1;
                         ++rs.rewires;
                         ++rep.total.rewires;
+                        c_rewires.add();
                     }
                 }
             }
@@ -587,6 +612,7 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                                   [static_cast<size_t>(b)] = 0;
                     ++r.stats().swaps;
                     ++rep.total.swaps;
+                    c_swaps.add();
                     if (was_degraded) {
                         r.set_degraded(b, false);
                         ++r.stats().swap_backs;
@@ -616,7 +642,9 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                         continue;  // bucket emptied; re-pick
                 }
 
-                // Dynamic batching patience (single-server rule).
+                // Dynamic batching: a partial batch waits for more
+                // arrivals while the head request's slack still covers
+                // the expected service time plus the patience margin.
                 const double launch_by =
                     queue.head(b).deadline_ns -
                     (1.0 + opts_.base.batch_wait_frac) * p.baseline_ns;
@@ -629,6 +657,12 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
                     break;
                 }
 
+                // Batch boundary: clock steps due by now land on this
+                // replica's device, and the drift detection budget
+                // counts from the first boundary at or after onset.
+                if (first_drift_ns >= 0.0 && now_ns >= first_drift_ns &&
+                    served_at_drift < 0)
+                    served_at_drift = served_total;
                 const GpuConfig& gpu = r.gpu_at(now_ns);
                 const std::vector<ServeRequest> batch =
                     queue.pop_batch(b, opts_.base.max_batch);
@@ -728,8 +762,8 @@ ReplicaFleet::serve(const std::vector<ServeRequest>& traffic)
 
     rep.total.admitted = queue.admitted();
     rep.total.rejected = queue.rejected();
+    c_reject.add(rep.total.rejected);
     rep.total.makespan_ns = last_completion_ns;
-    rep.total.detection_request_budget = rep.failover_detect_budget;
     metrics.finalize(&rep.total);
     // Exactly-once audit: every admitted request ended exactly one
     // way — served, shed as hopeless, failed out, or evicted by the

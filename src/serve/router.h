@@ -1,12 +1,20 @@
 /**
  * @file
- * Health-checked failover routing across a multi-replica serving fleet.
+ * The serving loop: health-checked failover routing across a fleet of
+ * replicas.
  *
- * The single-server loop (serve/server.h) assumes its device survives
- * the run. A fleet does not get that luxury: replicas die mid-batch,
- * flap, and drift — and traffic can exceed what the survivors can
- * carry. ReplicaFleet runs G Replica failure domains behind one
- * admission queue and one discrete-event loop, with four duties:
+ * ReplicaFleet runs G Replica failure domains behind one admission
+ * queue and one discrete-event loop on the simulated clock; a
+ * single-device server is a 1-replica fleet. Every mini-batch replays
+ * a bucket's wired plan (serve/server.h) on its replica's current
+ * device, under deadline-aware dynamic batching: a partial batch waits
+ * for more arrivals while the head request's slack still covers
+ * (1 + batch_wait_frac) x the plan's baseline. A per-replica drift
+ * watcher folds every served batch time into a ProfileIndex under an
+ * install-epoch-mangled key and compares the window median against the
+ * plan's install-time baseline. Replicas die mid-batch, flap and
+ * drift, and traffic can exceed what the survivors can carry, so the
+ * loop has four further duties:
  *
  *  1. *Detection.* Replica liveness is a pure function of simulated
  *     time (sim/faults.h replica_death / replica_flap specs). Replicas
@@ -47,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/metrics.h"
 #include "serve/queue.h"
 #include "serve/replica.h"
 #include "serve/server.h"
@@ -58,10 +67,9 @@ namespace astra::serve {
 struct FleetOptions
 {
     /**
-     * The single-server knobs every replica inherits: buckets, model
-     * builder, session options (device, measurement, plan store),
-     * batching, watcher, re-wire latency. base.clock_schedule applies
-     * to replica 0 only (per-replica schedules via replica_clocks).
+     * The knobs every replica inherits: buckets, model builder,
+     * session options (device, measurement, plan store), batching,
+     * watcher, re-wire latency.
      */
     ServeOptions base;
 
@@ -69,8 +77,8 @@ struct FleetOptions
     int replicas = 2;
 
     /**
-     * Per-replica drift schedules (index = replica id). Missing ids:
-     * replica 0 falls back to base.clock_schedule, others are calm.
+     * Per-replica drift schedules (index = replica id), each ascending
+     * by at_ns. Missing ids are calm.
      */
     std::vector<std::vector<ClockStep>> replica_clocks;
 
@@ -150,7 +158,10 @@ class ReplicaFleet
      */
     int64_t optimize();
 
-    /** Drain one generated trace through the fleet (DES). */
+    /**
+     * Drain one generated trace through the fleet (DES). Callable
+     * repeatedly; metrics are per call, installed plans persist.
+     */
     FleetReport serve(const std::vector<ServeRequest>& traffic);
 
     int num_replicas() const
@@ -161,7 +172,7 @@ class ReplicaFleet
     Replica& replica(int i);
     const Replica& replica(int i) const;
 
-    /** The prototype server (tests: rewire, plan snapshots). */
+    /** The prototype server (wiring, re-wiring, bucket routing). */
     BucketedServer& prototype() { return *proto_; }
 
     /** The effective fault plan (explicit or device-inherited). */

@@ -1,48 +1,38 @@
 /**
  * @file
- * Online serving loop over bucketed wired plans, with live re-wiring.
+ * Bucketed wired plans for serving: wiring, lowering and re-wiring.
  *
  * The offline story (core/bucketed.h) ends with one converged, wired
- * plan per length bucket. This module runs those plans against an
- * open-loop request stream (serve/traffic.h): a deadline-aware
- * admission queue batches requests per bucket, every mini-batch is a
- * replay of the bucket's wired binary (runtime/wired.h) on the
- * *current* device configuration, and latency/goodput are accounted
- * first-class (serve/metrics.h).
+ * plan per length bucket. BucketedServer explores every bucket once
+ * and lowers each winner into a wired binary (runtime/wired.h); the
+ * serving fleet (serve/router.h) installs those plans on its replicas
+ * and replays them against an open-loop request stream
+ * (serve/traffic.h). A single-device server is a 1-replica fleet.
  *
- * The interesting part is what happens when the device stops matching
- * the plan. A clock-step schedule injects slow drift (thermal
- * throttling via GpuConfig::forced_clock_multiplier); a per-bucket
- * drift watcher folds every served batch time into a ProfileIndex
- * under an *install-epoch-mangled* key — the same
- * key-mangling-as-invalidation discipline the profile index applies to
- * context changes — and compares the window median against the plan's
- * install-time baseline with the MeasurementPolicy::store_drift_rel
- * tolerance. On detection the server re-wires the bucket off-path
- * (warm-started from the plan store when configured: the store's
- * gpu_sig ignores the forced multiplier, so the stale entry L1-hits,
- * fails drift verification, and demotes into a warm-started
- * re-exploration whose winner is written back), then hot-swaps the new
- * wired blob between mini-batches: an in-flight batch always finishes
- * on the blob it started with, the next batch picks up the new one,
- * and no queued request is dropped.
+ * When a replica's drift watcher sees the device stop matching a
+ * plan, the fleet asks this module to re-wire the bucket off-path
+ * against the current device configuration (warm-started from the
+ * plan store when configured: the store's gpu_sig ignores the forced
+ * clock multiplier, so the stale entry L1-hits, fails drift
+ * verification, and demotes into a warm-started re-exploration whose
+ * winner is written back). The fleet hot-swaps the result between
+ * mini-batches.
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/bucketed.h"
 #include "runtime/wired.h"
-#include "serve/metrics.h"
-#include "serve/queue.h"
-#include "serve/traffic.h"
 
 namespace astra::serve {
 
-/** Regression detector over served-batch times (one per bucket). */
+/**
+ * Regression detector over served-batch times (one per replica and
+ * bucket).
+ */
 struct DriftWatcherOptions
 {
     /**
@@ -84,7 +74,10 @@ struct ClockStep
     double clock_multiplier = 0.0;
 };
 
-/** All knobs of one serving run. */
+/**
+ * The knobs every replica of a serving fleet shares (per-replica drift
+ * schedules live in FleetOptions::replica_clocks).
+ */
 struct ServeOptions
 {
     /** Ascending bucket boundaries (see core/bucketed.h). */
@@ -115,14 +108,11 @@ struct ServeOptions
 
     DriftWatcherOptions watcher;
 
-    /** Injected drift schedule, ascending by at_ns (empty = calm). */
-    std::vector<ClockStep> clock_schedule;
-
     /**
      * Simulated cost of one off-path re-wire (ns): the new blob
      * installs at the first batch boundary at least this long after
-     * detection. Serving continues on the old blob meanwhile — that
-     * interval is what the hot-swap tests pin.
+     * detection. The bucket keeps serving its old plan meanwhile, by
+     * generic dispatch; that interval is what the hot-swap tests pin.
      */
     double rewire_latency_ns = 10e6;
 
@@ -131,8 +121,9 @@ struct ServeOptions
 };
 
 /**
- * The serving runtime: per-bucket wired plans behind a swap mutex, an
- * admission queue in front, a drift watcher behind.
+ * One wired plan per bucket, lowered once and shared by every replica
+ * of a fleet, plus the off-path re-wire the fleet's drift watcher
+ * triggers.
  */
 class BucketedServer
 {
@@ -164,35 +155,16 @@ class BucketedServer
 
     /**
      * Offline phase: explore every bucket (BucketedAstra::optimize) and
-     * lower each winner into a wired binary. Must run before serve().
-     * Returns total exploration mini-batches.
+     * lower each winner into a wired binary, epoch 0. Returns total
+     * exploration mini-batches.
      */
     int64_t optimize();
 
-    /**
-     * Drain one generated trace through the serving loop
-     * (discrete-event simulation on the device clock). Callable
-     * repeatedly; metrics are per call, installed plans persist.
-     */
-    ServeReport serve(const std::vector<ServeRequest>& traffic);
-
-    /** The routing/exploration sessions (tests). */
+    /** The routing/exploration sessions. */
     const BucketedAstra& router() const { return *router_; }
 
-    /**
-     * Swap-safe snapshot of a bucket's installed plan: replay always
-     * runs on a snapshot, so an install between batches never mutates
-     * a blob mid-replay.
-     */
+    /** The bucket's plan as wired by optimize(). */
     BucketPlan plan(int bucket) const;
-
-    /**
-     * Install a new plan revision for a bucket (thread-safe; the
-     * serving loop picks it up at the next batch boundary). Stamps the
-     * next epoch; resets the bucket's drift window by construction
-     * (watcher keys embed the epoch).
-     */
-    void install(int bucket, BucketPlan plan);
 
     /**
      * Re-wire one bucket against an explicit device configuration:
@@ -206,24 +178,9 @@ class BucketedServer
     BucketPlan rewire(int bucket, const GpuConfig& gpu) const;
 
   private:
-    struct RewireInflight
-    {
-        bool active = false;
-        double ready_ns = 0.0;  ///< earliest install time
-        BucketPlan plan;
-    };
-
-    /** Apply schedule steps due at sim time t to the live GpuConfig. */
-    void apply_clock_steps(double t_ns, GpuConfig* gpu,
-                           size_t* next_step, double* first_drift_ns);
-
     ServeOptions opts_;
     std::unique_ptr<BucketedAstra> router_;
-
-    mutable std::mutex slots_mu_;
-    std::vector<BucketPlan> slots_;
-
-    bool optimized_ = false;
+    std::vector<BucketPlan> plans_;
 };
 
 /** FNV-1a fingerprint of a schedule configuration's canonical text. */
