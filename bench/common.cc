@@ -79,7 +79,6 @@ astra_ns(const BuiltModel& model, const AstraFeatures& f, const Env& env,
     out.ns = r.best_ns;
     out.configs = r.minibatches;
     out.whatif_evals = r.convergence.whatif_evals;
-    out.predictor_pruned = r.convergence.predictor_pruned;
     out.measured_configs = r.convergence.measured_configs;
     out.config_text = config_to_string(r.best_config);
     return out;

@@ -60,7 +60,6 @@ struct AstraOutcome
 
     // What-if accounting (zeros when the engine is off).
     int64_t whatif_evals = 0;
-    int64_t predictor_pruned = 0;
     int64_t measured_configs = 0;
 
     /** Canonical text of the winning config (config_to_string). */
@@ -72,7 +71,7 @@ double native_ns(const BuiltModel& model, const Env& env);
 
 /**
  * Run the full online exploration under a feature preset. `whatif`
- * arms the three-tier decision path (off by default); `wirer_threads`
+ * arms the what-if decision path (off by default); `wirer_threads`
  * fans strategies out across host threads; `plan_store` names a plan
  * store directory (empty = no store).
  */

@@ -36,7 +36,7 @@ main(int argc, char** argv)
         "(gate: identical FNV config, >= 3x aggregate mini-batch cut, "
         "thread-deterministic counters)");
     table.set_header({"Model", "exhaustive mb", "whatif mb", "cut",
-                      "replays", "pruned", "fnv match"});
+                      "replays", "fnv match"});
 
     const ModelKind kinds[] = {ModelKind::Scrnn, ModelKind::StackedLstm,
                                ModelKind::MiLstm, ModelKind::SubLstm,
@@ -68,7 +68,7 @@ main(int argc, char** argv)
         const uint64_t fnv_on4 = fnv1a64(on4.config_text);
 
         bool model_ok = true;
-        if (off.whatif_evals != 0 || off.predictor_pruned != 0) {
+        if (off.whatif_evals != 0) {
             std::cerr << model.name
                       << ": FAIL: what-if counters nonzero with the "
                          "engine off\n";
@@ -83,7 +83,6 @@ main(int argc, char** argv)
         }
         if (fnv_on4 != fnv_on || on4.configs != on.configs ||
             on4.whatif_evals != on.whatif_evals ||
-            on4.predictor_pruned != on.predictor_pruned ||
             on4.measured_configs != on.measured_configs) {
             std::cerr << model.name
                       << ": FAIL: wirer_threads=4 is not "
@@ -109,7 +108,6 @@ main(int argc, char** argv)
                        std::to_string(on.configs),
                        TextTable::fmt(cut, 2) + "x",
                        std::to_string(on.whatif_evals),
-                       std::to_string(on.predictor_pruned),
                        fnv_on == fnv_off ? "yes" : "NO"});
         std::cerr << "  [" << model.name << " done]\n";
     }

@@ -24,11 +24,11 @@
  * bit-identical to the generic dispatcher at a fraction of the host
  * overhead.
  *
- * --whatif turns on the wirer's three-tier decision path
- * (core/whatif.h): a cost predictor nominates dominated options, exact
- * host replays confirm them, and only the survivors spend measured
- * mini-batches. The converged configuration is unchanged; a summary of
- * replays/prunes/measurements goes to stderr.
+ * --whatif turns on the wirer's what-if decision path
+ * (core/whatif.h): exploration trials are exact host replays, and only
+ * each stage's winner spends measured mini-batches. The converged
+ * configuration is unchanged; a summary of replays/measurements goes
+ * to stderr.
  *
  * --fault-spec injects deterministic faults (sim/faults.h grammar,
  * e.g. "seed=3;kernel:p=0.01;alloc:at=0;straggler:p=0.001,x=4") into
@@ -196,8 +196,6 @@ main(int argc, char** argv)
         if (r.convergence.whatif_evals > 0)
             std::cerr << "whatif: " << r.convergence.whatif_evals
                       << " host replays, "
-                      << r.convergence.predictor_pruned
-                      << " options predictor-pruned, "
                       << r.convergence.measured_configs
                       << " configs measured (" << r.minibatches
                       << " mini-batches)\n";

@@ -21,7 +21,6 @@ AdaptiveVariable::initialize()
 {
     current_ = default_;
     visited_ = 1;
-    disallowed_.clear();
 }
 
 bool
@@ -29,70 +28,16 @@ AdaptiveVariable::iterate()
 {
     if (finished())
         return false;
-    // Walk options in order, skipping the default (visited first) and
-    // any masked-off options. visited_ counts distinct allowed options
-    // seen so far; finished() bounds the loop, so the walk can never
-    // spin with nothing left to visit.
+    // Walk options in order, skipping the default (visited first).
+    // visited_ counts distinct options seen so far; finished() bounds
+    // the loop, so the walk can never spin with nothing left to visit.
     do {
         ++current_;
         if (current_ >= num_options_)
             current_ = 0;
-    } while (current_ == default_ || !is_allowed(current_));
+    } while (current_ == default_);
     ++visited_;
     return !finished();
-}
-
-void
-AdaptiveVariable::disallow(int option)
-{
-    ASTRA_ASSERT(option >= 0 && option < num_options_,
-                 "option out of range for ", key_);
-    ASTRA_ASSERT(option != current_ && option != default_,
-                 "cannot disallow the live walk anchor of ", key_);
-    if (disallowed_.empty())
-        disallowed_.assign(static_cast<size_t>(num_options_), 0);
-    if (disallowed_[static_cast<size_t>(option)])
-        return;
-    disallowed_[static_cast<size_t>(option)] = 1;
-    ASTRA_ASSERT(allowed_count() >= 1);
-}
-
-void
-AdaptiveVariable::restrict_to(const std::vector<int>& allowed)
-{
-    disallowed_.assign(static_cast<size_t>(num_options_), 1);
-    bool has_current = false;
-    for (int o : allowed) {
-        ASTRA_ASSERT(o >= 0 && o < num_options_,
-                     "option out of range for ", key_);
-        disallowed_[static_cast<size_t>(o)] = 0;
-        has_current |= o == current_;
-    }
-    ASTRA_ASSERT(has_current, "restrict_to must keep the current choice of ",
-                 key_);
-    // Re-anchor: the walk restarts from the current choice, and a
-    // nothing-measured bind_best falls back to it rather than to the
-    // constructed default (which may now be masked).
-    default_ = current_;
-    visited_ = 1;
-}
-
-int
-AdaptiveVariable::allowed_count() const
-{
-    if (disallowed_.empty())
-        return num_options_;
-    int n = 0;
-    for (char d : disallowed_)
-        n += d == 0;
-    return n;
-}
-
-bool
-AdaptiveVariable::is_allowed(int option) const
-{
-    return disallowed_.empty() ||
-           disallowed_[static_cast<size_t>(option)] == 0;
 }
 
 double
@@ -285,7 +230,7 @@ UpdateNode::max_trials() const
 {
     switch (mode_) {
       case Mode::Leaf:
-        return var_->allowed_count();
+        return var_->num_options();
       case Mode::Parallel: {
         int64_t worst = 1;
         for (const auto& c : children_)

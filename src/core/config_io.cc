@@ -196,41 +196,65 @@ read_config(std::istream& is, ScheduleConfig* config, std::string* error)
     while (std::getline(is, line)) {
         diag.advance();
         std::istringstream ls(line);
-        // Classic-locale extraction: `ls >> int` honors the stream's
-        // locale, and a grouping-aware global locale would stop at the
-        // first separator character.
+        // Classic-locale tokenizing: a caller's global locale must not
+        // change what counts as a token separator.
         ls.imbue(std::locale::classic());
         std::string key;
         if (!(ls >> key))
             continue;
+        // Every numeric token goes through parse_int: a stream
+        // extraction would stop silently at the first bad character
+        // and keep what it had read so far.
+        auto scalar = [&](int lo, int* v) {
+            std::string tok;
+            std::string extra;
+            if (!(ls >> tok) || !parse_int(tok, v))
+                return diag.fail("malformed ", key, " value '", tok,
+                                 "'");
+            if (*v < lo)
+                return diag.fail(key, " ", *v, " below ", lo);
+            if (ls >> extra)
+                return diag.fail("trailing token '", extra, "' after ",
+                                 key);
+            return true;
+        };
+        constexpr int kAny = std::numeric_limits<int>::min();
+        int v = 0;
         if (key == "strategy") {
-            if (!(ls >> out.strategy))
-                return diag.fail("malformed strategy value");
+            if (!scalar(0, &out.strategy))
+                return false;
         } else if (key == "elementwise_fusion") {
-            int v;
-            if (!(ls >> v))
-                return diag.fail("malformed elementwise_fusion value");
+            if (!scalar(kAny, &v))
+                return false;
             out.elementwise_fusion = v != 0;
         } else if (key == "use_streams") {
-            int v;
-            if (!(ls >> v))
-                return diag.fail("malformed use_streams value");
+            if (!scalar(kAny, &v))
+                return false;
             out.use_streams = v != 0;
         } else if (key == "num_streams") {
-            if (!(ls >> out.num_streams))
-                return diag.fail("malformed num_streams value");
+            if (!scalar(1, &out.num_streams))
+                return false;
         } else if (key == "group_chunk") {
-            int c;
-            while (ls >> c)
-                out.group_chunk.push_back(c);
+            std::string tok;
+            while (ls >> tok) {
+                if (!parse_int(tok, &v))
+                    return diag.fail("malformed group_chunk token '",
+                                     tok, "'");
+                if (v < 1)
+                    return diag.fail("group_chunk ", v, " below 1");
+                out.group_chunk.push_back(v);
+            }
         } else if (key == "group_lib") {
-            int lib;
-            while (ls >> lib) {
-                if (lib < 0 || lib >= kNumGemmLibs)
-                    return diag.fail("group_lib index ", lib,
+            std::string tok;
+            while (ls >> tok) {
+                if (!parse_int(tok, &v))
+                    return diag.fail("malformed group_lib token '", tok,
+                                     "'");
+                if (v < 0 || v >= kNumGemmLibs)
+                    return diag.fail("group_lib index ", v,
                                      " out of range [0,", kNumGemmLibs,
                                      ")");
-                out.group_lib.push_back(static_cast<GemmLib>(lib));
+                out.group_lib.push_back(static_cast<GemmLib>(v));
             }
         } else if (key == "single_lib") {
             std::string pair;

@@ -7,89 +7,29 @@
  * Daydream, arXiv 2006.03318): the *schedule simulation itself* is
  * reusable. Given a candidate ScheduleConfig, the engine builds its
  * plan, compiles it to the same command stream the dispatcher would
- * issue (PR 7's compile_plan, gated bit-identical in CI), and runs the
+ * issue (compile_plan, gated bit-identical in CI), and runs the
  * event-ordering simulation on the host with timing-only kernels —
  * ranking a candidate in microseconds instead of spending a measured
  * mini-batch on it. At base clock with faults disarmed this replay is
- * bit-exact against a real dispatch, which is what lets the wirer mask
- * dominated options without giving up its exhaustive-identical answer.
- *
- * A RecordedTrace is the durable form: the compiled program, per-step
- * kernel cost shapes and profile keys, the collected spans, and the
- * measured metrics of one dispatched mini-batch — dependency-preserving
- * and richer than the Chrome export. replay_trace() re-runs it under
- * per-key cost substitutions (hypothetical library/fusion deltas fed
- * from ProfileIndex stats) without touching graph or scheduler.
+ * bit-exact against a real dispatch, which is what lets the wirer
+ * replay its exploration walk without giving up its exhaustive-identical
+ * answer.
  */
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "core/scheduler.h"
-#include "obs/obs.h"
-#include "runtime/wired.h"
 #include "sim/gpu.h"
 
 namespace astra {
 
-/** Knobs for the three-tier decision path (wirer `whatif` mode). */
+/** Knobs for the what-if decision path (wirer `whatif` mode). */
 struct WhatIfOptions
 {
-    /** Master switch; off keeps the wirer bit-identical to PR 8. */
+    /** Master switch; off keeps the wirer on measured exploration. */
     bool enabled = false;
-
-    /**
-     * Near-tie tolerance: an option within margin_rel of the predicted
-     * best survives to real measurement. Simulated replay is exact, but
-     * the margin keeps the decision honest where the model and the
-     * measured path could diverge (enqueue-bound corners, clock
-     * normalization rounding) — near-ties are decided by measurement,
-     * never by the model.
-     */
-    double margin_rel = 0.02;
-
-    /** Predictor observations required before tier-1 may nominate. */
-    int predictor_min_rows = 8;
-
-    /**
-     * Tier-1 conservatism: a predicted gap must exceed
-     * sigma * rel_residual (and margin_rel) before an option is even
-     * nominated for replay confirmation.
-     */
-    double predictor_sigma = 3.0;
-};
-
-/** One dependency-preserving record of a dispatched mini-batch. */
-struct RecordedTrace
-{
-    /** The configuration the trace was recorded under. */
-    ScheduleConfig config;
-
-    /** Compiled command stream (events, barriers, profile slots). */
-    WiredProgram program;
-
-    /** Per-step timing-only kernel shapes (barrier steps stay empty). */
-    std::vector<KernelDesc> kernels;
-
-    /** Per-step profile key ("" for unkeyed/barrier steps). */
-    std::vector<std::string> step_keys;
-
-    /** Collected kernel spans (name, key, stream, start, end). */
-    std::vector<TraceSpan> spans;
-
-    /** Recorded wall time of the mini-batch, ns. */
-    double total_ns = 0.0;
-
-    /** Recorded per-key profile metrics, ns. */
-    std::map<std::string, double> profile_ns;
-
-    int num_streams = 1;
-
-    /** Sanitized device model the record was simulated under. */
-    GpuConfig gpu;
 };
 
 /** Host-replay outcome: the same metrics a DispatchResult carries. */
@@ -98,16 +38,6 @@ struct ReplayResult
     double total_ns = 0.0;
     std::map<std::string, double> profile_ns;
 };
-
-/**
- * Replay a recorded trace, optionally substituting per-key costs: an
- * entry {key -> ns} replaces every kernel of that profile key with a
- * pure-serial kernel of exactly that duration (blocks = 0), so on a
- * serial schedule the replayed total shifts by exactly the delta.
- */
-ReplayResult
-replay_trace(const RecordedTrace& trace,
-             const std::map<std::string, double>& override_ns = {});
 
 /**
  * The evaluator: builds and simulates hypothetical configs on the
@@ -124,34 +54,11 @@ class WhatIfEngine
     /** Rank one candidate: exact simulated metrics, no mini-batch. */
     ReplayResult evaluate(const ScheduleConfig& config) const;
 
-    /** Evaluate and keep the full dependency-preserving record. */
-    RecordedTrace capture(const ScheduleConfig& config) const;
-
-    const GpuConfig& device() const { return gpu_; }
-
   private:
     const Graph& graph_;
     const TensorMap& tmap_;
     const Scheduler& scheduler_;
     GpuConfig gpu_;
 };
-
-// ---- serialization (line-oriented, config_io conventions) ----------------
-
-/** Write a trace in the "astra-whatif-trace v1" text format. */
-void write_trace(std::ostream& os, const RecordedTrace& trace);
-
-/**
- * Parse a trace written by write_trace.
- * @return false (leaving *trace untouched) on malformed input; when
- *         `error` is non-null it receives "line N: reason".
- */
-bool read_trace(std::istream& is, RecordedTrace* trace,
-                std::string* error = nullptr);
-
-/** Convenience: round-trip through a string. */
-std::string trace_to_string(const RecordedTrace& trace);
-bool trace_from_string(const std::string& text, RecordedTrace* trace,
-                       std::string* error = nullptr);
 
 }  // namespace astra

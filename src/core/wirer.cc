@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "core/predictor.h"
 #include "obs/obs.h"
 #include "support/logging.h"
 
@@ -178,20 +177,8 @@ struct CustomWirer::StrategyRun
     /** Armed evaluator, or null when the mode is off or ineligible. */
     std::unique_ptr<WhatIfEngine> whatif;
 
-    /** Tier-1 model, trained from this strategy's real measurements. */
-    std::unique_ptr<CostPredictor> predictor;
-
-    /** Static features per profile key, for predictor training. */
-    std::map<std::string, PredictorFeatures> key_features;
-
-    /** Dependency-preserving records captured while armed. */
-    std::vector<RecordedTrace> traces;
-
-    /** Host replays performed (tier-2 confirms + stream planning). */
+    /** Host replays performed (exploration trials and re-replays). */
     int64_t whatif_evals = 0;
-
-    /** Options masked: predictor-nominated, replay-confirmed. */
-    int64_t predictor_pruned = 0;
 
     /** dispatch_batch calls that dispatched >= 1 live mini-batch. */
     int64_t measured_configs = 0;
@@ -358,15 +345,6 @@ CustomWirer::dispatch_batch(StrategyRun& run, const ScheduleConfig& config,
         // so the result entries drop straight into the shard (§4.6).
         for (const auto& [key, ns] : result.profile_ns)
             run.index.record(key, ns);
-        // Tier-1 training: every clean measurement whose key has known
-        // static features updates the ridge model. Sequential, in
-        // repeat order — the model state is thread-count independent.
-        if (run.predictor)
-            for (const auto& [key, ns] : result.profile_ns) {
-                const auto f = run.key_features.find(key);
-                if (f != run.key_features.end())
-                    run.predictor->observe(f->second, ns);
-            }
     }
     if (n_replay > 0) {
         run.replay_pos += static_cast<size_t>(n_replay);
@@ -420,14 +398,8 @@ CustomWirer::replay_trial(StrategyRun& run, const ScheduleConfig& config)
     // is what `config` is — not in isolation; only then is the sample
     // (and every ranking downstream of it) bit-identical to the
     // measured run's.
-    for (const auto& [key, ns] : r.profile_ns) {
+    for (const auto& [key, ns] : r.profile_ns)
         run.index.record(key, ns);
-        if (run.predictor) {
-            const auto f = run.key_features.find(key);
-            if (f != run.key_features.end())
-                run.predictor->observe(f->second, ns);
-        }
-    }
 }
 
 int64_t
@@ -539,7 +511,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                                   "wirer.strategy." + strat.key);
     const std::string& sctx = run.sctx;
 
-    // ---- what-if arming (three-tier decisions, §5.13) --------------------
+    // ---- what-if arming (replay, then measure; §5.13) --------------------
     // Arm only when host replay is provably exact against a dispatch:
     // fault injection perturbs timing beyond the model, and autoboost
     // is admissible only when measurements are normalized back to the
@@ -549,15 +521,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         run.whatif = std::make_unique<WhatIfEngine>(
             graph_, *tensor_maps_[static_cast<size_t>(sid)], scheduler_,
             opts_.gpu);
-        run.predictor = std::make_unique<CostPredictor>(
-            1e-3, opts_.whatif.predictor_min_rows);
     }
-    // Near-tie tolerance for masking decisions. Measured rankings use
-    // tie_epsilon_rel; any option the measured path could call a tie
-    // must survive to measurement, so the masking margin dominates it.
-    const double whatif_margin =
-        std::max(opts_.whatif.margin_rel,
-                 2.0 * opts_.measurement.tie_epsilon_rel);
 
     // One convergence epoch per update-tree stage: trials actually
     // dispatched vs the exhaustive size of the stage's subspace, with
@@ -572,7 +536,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         int64_t samples = 0;
         int64_t rejected = 0;
         int64_t whatif_evals = 0;
-        int64_t predictor_pruned = 0;
         int64_t measured_configs = 0;
     };
     auto mark = [&]() {
@@ -581,7 +544,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         m.samples = run.index.total_samples();
         m.rejected = run.index.total_rejected();
         m.whatif_evals = run.whatif_evals;
-        m.predictor_pruned = run.predictor_pruned;
         m.measured_configs = run.measured_configs;
         return m;
     };
@@ -603,8 +565,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             run.index.total_rejected() - before.rejected;
         e.max_cv = max_cv;
         e.whatif_evals = run.whatif_evals - before.whatif_evals;
-        e.predictor_pruned =
-            run.predictor_pruned - before.predictor_pruned;
         e.measured_configs =
             run.measured_configs - before.measured_configs;
         obs::observe("wire.stage_max_cv", max_cv);
@@ -638,144 +598,14 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             ? warm.preferred_lib
             : 0;
 
-    // ---- static features (tier-1 training lookup) -------------------------
-    // Coarse vendor-knowledge features per profile key: gflops, bytes
-    // moved, launch count, library one-hot. Registering a key whose
-    // statistics were already seeded from the plan store folds the
-    // neighbor's mean in as an observation — a warm start primes the
-    // model before the first live measurement.
-    auto node_io_mbytes = [&](NodeId id) {
-        const Node& n = graph_.node(id);
-        double b = static_cast<double>(n.desc.bytes());
-        for (NodeId in : n.inputs)
-            b += static_cast<double>(graph_.node(in).desc.bytes());
-        return b / 1e6;
-    };
-    auto register_features = [&](const AdaptiveVariable& v, int option,
-                                 double gflops, double mbytes,
-                                 double launches, int lib) {
-        if (!run.predictor)
-            return;
-        const std::string key = v.profile_key_for(option);
-        const PredictorFeatures x =
-            make_features(gflops, mbytes, launches, lib);
-        run.key_features[key] = x;
-        if (const ProfileStats* s = run.index.stats(key)) {
-            if (s->count > 0) {
-                run.predictor->observe(x, s->mean);
-                return;
-            }
-        }
-        // A neighbor's stored statistics train the *predictor* even
-        // for residual variables. Safe where restore_entry is not:
-        // the model only nominates, and every nomination is confirmed
-        // by an exact replay of *this* graph before anything is
-        // masked — foreign absolute times never enter run.index and
-        // can never win a ranking.
-        if (const ProfileStats* s = warm.stats.stats(key))
-            if (s->count > 0)
-                run.predictor->observe(x, s->mean);
-    };
-    auto group_mbytes = [&](const FusionGroup& g) {
-        double b = 0.0;
-        for (NodeId id : g.mms)
-            b += node_io_mbytes(id);
-        return b;
-    };
-    auto group_launches = [&](const FusionGroup& g, int chunk) {
-        const auto n = static_cast<int>(g.mms.size());
-        return static_cast<double>((n + chunk - 1) / std::max(1, chunk));
-    };
-
-    // ---- tiers 1+2: predictor-nominate, replay-confirm (§5.13) -----------
-    // Runs once per Parallel stage, right after initialize (which
-    // clears masks) and before any trial. The model only *nominates*
-    // options it predicts dominated beyond a conservative gate; each
-    // nomination must then be confirmed by an exact host replay before
-    // the option is masked. Near-ties always survive to measurement.
-    // Masked options stay sample-free and can never win bind_best, so
-    // the converged configuration is unchanged.
-    const auto prune_stage =
-        [&](UpdateNode& stage,
-            const std::function<ScheduleConfig()>& make_cfg) {
-            if (!run.whatif || !run.predictor)
-                return;
-            const double gate = std::max(
-                whatif_margin, opts_.whatif.predictor_sigma *
-                                   run.predictor->rel_residual());
-            stage.for_each_var([&](AdaptiveVariable& v) {
-                if (v.num_options() < 2)
-                    return;
-                // Tier 1: predict every allowed option. Any gap in
-                // confidence (missing features, untrusted model)
-                // disqualifies the whole variable.
-                std::vector<double> pred(
-                    static_cast<size_t>(v.num_options()), -1.0);
-                double pmin = -1.0;
-                for (int o = 0; o < v.num_options(); ++o) {
-                    if (!v.is_allowed(o))
-                        continue;
-                    const auto f =
-                        run.key_features.find(v.profile_key_for(o));
-                    if (f == run.key_features.end())
-                        return;
-                    const auto p = run.predictor->predict(f->second);
-                    if (!p)
-                        return;
-                    pred[static_cast<size_t>(o)] = *p;
-                    if (pmin < 0.0 || *p < pmin)
-                        pmin = *p;
-                }
-                std::vector<int> nominated;
-                for (int o = 0; o < v.num_options(); ++o) {
-                    if (o == v.current() || !v.is_allowed(o))
-                        continue;
-                    if (run.index.samples(v.profile_key_for(o)) > 0)
-                        continue;
-                    if (pred[static_cast<size_t>(o)] >
-                        pmin * (1.0 + gate))
-                        nominated.push_back(o);
-                }
-                if (nominated.empty())
-                    return;
-                // Tier 2: exact replay of the walk anchor and of each
-                // nomination. A nomination worse than the anchor by
-                // more than the margin is worse than the stage winner
-                // by at least as much (the winner can only beat the
-                // anchor), and replay equals measurement bit-for-bit —
-                // so masking it cannot change the bound best.
-                const int saved = v.current();
-                auto replay_metric = [&](int o) {
-                    v.set(o);
-                    const ScheduleConfig cfg = make_cfg();
-                    v.set(saved);
-                    const ReplayResult r = run.whatif->evaluate(cfg);
-                    ++run.whatif_evals;
-                    const auto it =
-                        r.profile_ns.find(v.profile_key_for(o));
-                    return it == r.profile_ns.end() ? -1.0 : it->second;
-                };
-                const double anchor = replay_metric(saved);
-                if (anchor <= 0.0)
-                    return;
-                for (int o : nominated) {
-                    const double m = replay_metric(o);
-                    if (m > anchor * (1.0 + whatif_margin)) {
-                        v.disallow(o);
-                        ++run.predictor_pruned;
-                    }
-                }
-            });
-        };
-
-    // ---- tier 2/3 split per exploration trial (§5.13) --------------------
+    // ---- replay, then measure (§5.13) ------------------------------------
     // While armed, every exploration trial of every stage is ranked on
     // the host: the walk advances over replayed samples that are
     // bit-identical to what a dispatch of the same co-varied config
     // would have measured, so freezes and binds land exactly where the
     // exhaustive sweep's would — without spending the mini-batches.
-    // The device still gets the last word (tier 3): each stage's bound
-    // winner is dispatched once for real after bind_best, and the
+    // The device still gets the last word: each stage's bound winner
+    // is dispatched once for real after bind_best, and the
     // best-of-strategy runs are always measured.
     auto trial = [&](const std::function<ScheduleConfig()>& make_cfg) {
         if (run.whatif)
@@ -816,9 +646,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             // While the what-if engine is armed, a transferred choice
             // stays *residual*: exploring it costs host replays, not
             // mini-batches, so the neighbor's plan is verified on this
-            // graph instead of trusted. Its statistics reach the
-            // predictor (register_features reads warm.stats), arming
-            // tier-1 nomination from the first stage.
+            // graph instead of trusted.
             if (warm_idx >= 0 && !run.whatif) {
                 prebound.insert(v.get());
                 ++run.transferred;
@@ -832,11 +660,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
                     chunk_exhaustive,
                     static_cast<int64_t>(g.chunk_options.size()));
             }
-            for (size_t c = 0; c < g.chunk_options.size(); ++c)
-                register_features(
-                    *v, static_cast<int>(c), g.flops / 1e9,
-                    group_mbytes(g),
-                    group_launches(g, g.chunk_options[c]), -1);
         }
     }
 
@@ -936,17 +759,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         return cfg;
     };
 
-    // ---- trace capture ----------------------------------------------------
-    // The dependency-preserving record of this strategy's first
-    // measured configuration — compiled program, per-step costs and
-    // keys, spans, metrics. Richer than the Chrome export, durable via
-    // write_trace, and replayable under per-key cost substitution.
-    if (run.whatif) {
-        run.traces.push_back(
-            run.whatif->capture(current_config(false)));
-        ++run.whatif_evals;
-    }
-
     // ---- transfer priming (plan store, L2) -------------------------------
     // Measure the transferred configuration once before exploring the
     // residual space: it seeds best-so-far (the neighbor's winner is
@@ -978,7 +790,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             return cfg;
         };
         stage->initialize();
-        prune_stage(*stage, chunk_cfg);
         while (true) {
             trial(chunk_cfg);
             if (run.truncated || stage->finished())
@@ -988,7 +799,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         const int64_t extra =
             resolve_ambiguity(run, *stage, chunk_cfg, bind);
         stage->bind_best(run.index);
-        if (run.whatif)  // tier 3: measure the stage's bound winner
+        if (run.whatif)  // measure the stage's bound winner
             measure_trial(run, chunk_cfg, bind);
         record_epoch("chunks", "parallel", before, chunk_exhaustive,
                      extra, stage_max_cv(*stage, run.index));
@@ -1011,28 +822,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             lv->set_context(sctx + g.key + "|ch" +
                             std::to_string(chunk) + "|");
         }
-        // Library keys exist only now that the chunk half of their
-        // context is settled: register their features (and fold in any
-        // seeded statistics) under the final contexts.
-        for (const FusionGroup& g : space_.groups) {
-            const auto& lv = lib_vars[static_cast<size_t>(g.id)];
-            if (!lv)
-                continue;
-            const auto& cv = chunk_vars[static_cast<size_t>(g.id)];
-            const int chunk =
-                cv ? g.chunk_options[static_cast<size_t>(cv->current())]
-                   : 1;
-            for (int l = 0; l < kNumGemmLibs; ++l)
-                register_features(*lv, l, g.flops / 1e9,
-                                  group_mbytes(g),
-                                  group_launches(g, chunk), l);
-        }
-        for (const auto& [id, v] : single_vars)
-            for (int l = 0; l < kNumGemmLibs; ++l)
-                register_features(*v, l,
-                                 matmul_flops(graph_.node(id), graph_) /
-                                     1e9,
-                                 node_io_mbytes(id), 1.0, l);
         auto stage = UpdateNode::composite(
             UpdateNode::Mode::Parallel, std::move(lib_leaves));
         auto lib_cfg = [&]() {
@@ -1048,7 +837,6 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             return cfg;
         };
         stage->initialize();
-        prune_stage(*stage, lib_cfg);
         while (true) {
             trial(lib_cfg);
             if (run.truncated || stage->finished())
@@ -1058,7 +846,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         const int64_t extra =
             resolve_ambiguity(run, *stage, lib_cfg, bind);
         stage->bind_best(run.index);
-        if (run.whatif)  // tier 3: measure the stage's bound winner
+        if (run.whatif)  // measure the stage's bound winner
             measure_trial(run, lib_cfg, bind);
         record_epoch("libs", "parallel", before, lib_exhaustive, extra,
                      stage_max_cv(*stage, run.index));
@@ -1192,7 +980,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
         auto about_to_freeze = [&](const AdaptiveVariable& v) {
             return v.finished() && !frozen.count(&v);
         };
-        // The stream walk is NOT per-option maskable (§5.13): an epoch
+        // The stream walk must never skip a trial (§5.13): an epoch
         // span is a wall-clock barrier-to-barrier duration, and host
         // launch pipelining couples it to the co-varied walk state of
         // every *other* super-epoch — skipping trials in one SE shifts
@@ -1215,7 +1003,7 @@ CustomWirer::run_strategy(StrategyRun& run, const BindFn& bind)
             stage->advance(run.index);
         }
         stage->bind_best(run.index);
-        if (run.whatif)  // tier 3: measure the stage's bound winner
+        if (run.whatif)  // measure the stage's bound winner
             measure_trial(run, stream_cfg, bind);
         record_epoch("streams", "prefix", before, stream_exhaustive,
                      extra, stage_max_cv(*stage, run.index));
@@ -1377,11 +1165,7 @@ CustomWirer::explore(const BindFn& bind)
         out.convergence.store_transferred_bindings += run.transferred;
         out.convergence.store_seeded_keys += run.seeded_keys;
         out.convergence.whatif_evals += run.whatif_evals;
-        out.convergence.predictor_pruned += run.predictor_pruned;
         out.convergence.measured_configs += run.measured_configs;
-        for (RecordedTrace& t : run.traces)
-            out.whatif_traces.push_back(std::move(t));
-        run.traces.clear();
         out.index.merge(run.index);
         out.strategy_ns[static_cast<size_t>(run.sid)] = run.final_stat;
         if (best_ns < 0.0 || run.final_stat < best_ns) {

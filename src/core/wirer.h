@@ -130,9 +130,9 @@ struct WirerOptions
     MeasurementPolicy measurement;
 
     /**
-     * Three-tier decision path (§5.13): predictor-prune, what-if-rank,
-     * measure survivors. Off (the default) keeps the wirer bit-identical
-     * to the exhaustive path. The engine only arms when its replay is
+     * What-if decision path (§5.13): replay every exploration trial on
+     * the host, then measure each stage's winner. Off (the default)
+     * measures every trial. The engine only arms when its replay is
      * provably exact against a dispatch: no fault injection, and either
      * autoboost off or measurements normalized to base clock.
      */
@@ -201,13 +201,6 @@ struct WirerResult
 
     /** Final profile index (for inspection/tests). */
     ProfileIndex index;
-
-    /**
-     * Dependency-preserving traces captured while the what-if engine
-     * was armed (one per strategy, in strategy order; empty when the
-     * engine was off). Durable via write_trace / read_trace.
-     */
-    std::vector<RecordedTrace> whatif_traces;
 
     /**
      * Per-stage exploration history: best-so-far time, trials spent,
@@ -296,7 +289,7 @@ class CustomWirer
                        const BindFn& bind);
 
     /**
-     * One *replayed* exploration trial (§5.13, tier 2): evaluate the
+     * One *replayed* exploration trial (§5.13): evaluate the
      * exact co-varied configuration the walk is about to dispatch on
      * the host instead, and drop the replayed profile samples into the
      * shard as if they had been measured. Replay is bit-exact against

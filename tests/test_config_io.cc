@@ -89,11 +89,29 @@ TEST(ConfigIo, MalformedNumbersReturnFalseNeverThrow)
         "astra-config v1\nepoch_choice 1:2,3\n", // colon before comma
         "astra-config v1\nepoch_choice a,b:c\n",
         "astra-config v1\nepoch_choice 1,99999999999999999999:2\n",
+        // A malformed list token fails the load instead of truncating
+        // the list at it.
+        "astra-config v1\ngroup_chunk 1 x 2\n",
+        "astra-config v1\ngroup_chunk 1 0\n",   // chunk below 1
+        "astra-config v1\ngroup_lib 0 zz\n",
+        // Scalars: one well-formed, in-range token and nothing after.
+        "astra-config v1\nstrategy 3 junk\n",
+        "astra-config v1\nstrategy -1\n",
+        "astra-config v1\nstrategy 2x\n",
+        "astra-config v1\nstrategy\n",
+        "astra-config v1\nnum_streams -4\n",
+        "astra-config v1\nnum_streams 0\n",
+        "astra-config v1\nuse_streams 1 1\n",
+        "astra-config v1\nelementwise_fusion yes\n",
     };
     for (const char* text : cases) {
         ScheduleConfig probe;
+        std::string error;
         EXPECT_NO_THROW(
-            EXPECT_FALSE(config_from_string(text, &probe)) << text);
+            EXPECT_FALSE(config_from_string(text, &probe, &error))
+            << text);
+        // Every case is broken on its second line.
+        EXPECT_EQ(error.rfind("line 2: ", 0), 0u) << text << error;
     }
 }
 

@@ -2,21 +2,16 @@
  * @file
  * What-if engine tests (§5.13): host replay must be bit-exact against
  * a real dispatch of the same configuration (that equivalence is what
- * lets the wirer rank candidates without spending mini-batches), a
- * per-key cost substitution on a serial trace must shift the replayed
- * total by exactly the substituted delta, trace serialization must
- * round-trip and reject malformed input with line-precise diagnostics,
- * and the armed wirer must converge to the exhaustive wirer's
- * configuration — deterministically across thread counts — while
- * reporting its decision-tier counters through JSON and CSV.
+ * lets the wirer rank candidates without spending mini-batches), and
+ * the armed wirer must converge to the exhaustive wirer's configuration
+ * — deterministically across thread counts — while reporting its
+ * replay and measurement counters through JSON and CSV.
  */
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/adaptive.h"
 #include "core/astra.h"
 #include "core/whatif.h"
 #include "models/models.h"
@@ -120,173 +115,6 @@ TEST(WhatIf, StreamedReplayBitExactAgainstDispatch)
     expect_replay_matches_dispatch(rig, rig.config(true));
 }
 
-TEST(WhatIf, CaptureAgreesWithEvaluateAndKeepsSpans)
-{
-    EngineRig rig;
-    const ScheduleConfig cfg = rig.config(false);
-    const ReplayResult r = rig.engine.evaluate(cfg);
-    const RecordedTrace t = rig.engine.capture(cfg);
-    EXPECT_EQ(t.total_ns, r.total_ns);
-    EXPECT_EQ(t.profile_ns, r.profile_ns);
-    EXPECT_FALSE(t.spans.empty());
-    EXPECT_EQ(t.kernels.size(), t.step_keys.size());
-}
-
-// ---- per-key cost substitution -------------------------------------------
-
-/**
- * Two pure-serial keyed kernels on one stream: substituting one key
- * must shift the replayed total by exactly the substituted delta
- * (blocks = 0 holds no SMs; launch overheads are identical on both
- * sides and cancel). Durations are chosen large enough that the
- * timeline is device-bound — a host-enqueue-bound trace absorbs kernel
- * deltas into enqueue latency and the property would be vacuous.
- */
-TEST(WhatIf, SerialOverrideShiftsTotalByExactDelta)
-{
-    GraphBuilder b;
-    const NodeId x = b.input({4, 4});
-    const NodeId a = b.sigmoid(x);
-    const NodeId c = b.tanh(a);
-
-    ExecutionPlan plan;
-    plan.num_streams = 1;
-    PlanStep s0;
-    s0.nodes = {a};
-    s0.stream = 0;
-    s0.profile = true;
-    s0.profile_key = "k.a";
-    PlanStep s1;
-    s1.nodes = {c};
-    s1.stream = 0;
-    s1.profile = true;
-    s1.profile_key = "k.b";
-    plan.steps = {s0, s1};
-
-    RecordedTrace trace;
-    trace.gpu = pinned_gpu();
-    trace.num_streams = 1;
-    trace.program = compile_plan(plan, b.graph(), /*profiling=*/true);
-    trace.kernels.resize(2);
-    trace.step_keys = {"k.a", "k.b"};
-    for (size_t i = 0; i < 2; ++i) {
-        KernelDesc& k = trace.kernels[i];
-        k.name = i == 0 ? "a" : "b";
-        k.key = i == 0 ? "k.a" : "k.b";
-        k.blocks = 0;
-        k.setup_ns = i == 0 ? 100000.0 : 200000.0;
-    }
-
-    const ReplayResult base = replay_trace(trace);
-    const ReplayResult shifted =
-        replay_trace(trace, {{"k.a", 350000.0}});
-    EXPECT_EQ(shifted.total_ns - base.total_ns, 250000.0);
-    // The untouched key's metric is unchanged bit-for-bit.
-    ASSERT_TRUE(base.profile_ns.count("k.b"));
-    EXPECT_EQ(shifted.profile_ns.at("k.b"), base.profile_ns.at("k.b"));
-}
-
-// ---- trace serialization -------------------------------------------------
-
-TEST(WhatIf, TraceRoundTripsThroughText)
-{
-    EngineRig rig;
-    const RecordedTrace t = rig.engine.capture(rig.config(false));
-    const std::string text = trace_to_string(t);
-
-    RecordedTrace back;
-    std::string error;
-    ASSERT_TRUE(trace_from_string(text, &back, &error)) << error;
-    // Canonical form: re-serializing the parse reproduces the text.
-    EXPECT_EQ(trace_to_string(back), text);
-    // And the parse replays identically to the original record.
-    const ReplayResult a = replay_trace(t);
-    const ReplayResult b = replay_trace(back);
-    EXPECT_EQ(a.total_ns, b.total_ns);
-    EXPECT_EQ(a.profile_ns, b.profile_ns);
-    EXPECT_EQ(back.total_ns, t.total_ns);
-}
-
-TEST(WhatIf, MalformedTracesRejectedWithLineDiagnostics)
-{
-    EngineRig rig;
-    const RecordedTrace t = rig.engine.capture(rig.config(false));
-    const std::string text = trace_to_string(t);
-
-    const auto expect_rejected = [](const std::string& bad,
-                                    const std::string& what) {
-        RecordedTrace out;
-        std::string error;
-        EXPECT_FALSE(trace_from_string(bad, &out, &error)) << what;
-        EXPECT_NE(error.find("line "), std::string::npos)
-            << what << ": diagnostic '" << error
-            << "' carries no line number";
-    };
-
-    expect_rejected("bogus header\n", "wrong magic");
-    expect_rejected("", "empty input");
-    // Truncation anywhere must be caught, not zero-filled.
-    expect_rejected(text.substr(0, text.size() / 2), "truncated body");
-    {
-        // A hostile count cannot make the reader allocate unbounded.
-        std::string bad = text;
-        const size_t pos = bad.find("steps ");
-        ASSERT_NE(pos, std::string::npos);
-        bad.replace(pos, bad.find('\n', pos) - pos,
-                    "steps 999999999999");
-        expect_rejected(bad, "hostile step count");
-    }
-    {
-        RecordedTrace out;
-        std::string error;
-        std::string bad = text;
-        bad.replace(0, bad.find('\n'), "astra-whatif-trace v2");
-        EXPECT_FALSE(trace_from_string(bad, &out, &error));
-        EXPECT_NE(error.find("line 1"), std::string::npos)
-            << "version mismatch should point at line 1, got: "
-            << error;
-    }
-}
-
-// ---- option masking (tier-2 substrate) -----------------------------------
-
-TEST(WhatIf, MaskingNarrowsTheWalkButNeverTheAnchor)
-{
-    AdaptiveVariable v("g0|lib", 4, 1);
-    EXPECT_EQ(v.allowed_count(), 4);
-    v.disallow(3);
-    EXPECT_EQ(v.allowed_count(), 3);
-    EXPECT_FALSE(v.is_allowed(3));
-    EXPECT_TRUE(v.is_allowed(1));
-    v.disallow(3);  // idempotent
-    EXPECT_EQ(v.allowed_count(), 3);
-
-    // The masked walk visits exactly the surviving options. iterate()
-    // both advances and reports whether more remain, so the walk is
-    // bounded by finished(), not by iterate()'s return value.
-    std::vector<int> seen = {v.current()};
-    while (!v.finished()) {
-        v.iterate();
-        seen.push_back(v.current());
-    }
-    EXPECT_EQ(seen.size(), 3u);
-    for (int o : seen)
-        EXPECT_TRUE(v.is_allowed(o));
-
-    // restrict_to re-anchors on the current choice.
-    AdaptiveVariable w("g0|chunk", 5, 0);
-    w.set(2);
-    w.restrict_to({2, 4});
-    EXPECT_EQ(w.allowed_count(), 2);
-    std::vector<int> walk = {w.current()};
-    while (!w.finished()) {
-        w.iterate();
-        walk.push_back(w.current());
-    }
-    EXPECT_EQ(walk, (std::vector<int>{2, 4}));
-    EXPECT_TRUE(w.finished());
-}
-
 // ---- the armed wirer -----------------------------------------------------
 
 TEST(WhatIf, ArmedWirerMatchesExhaustiveConfigWithFewerMinibatches)
@@ -299,7 +127,6 @@ TEST(WhatIf, ArmedWirerMatchesExhaustiveConfigWithFewerMinibatches)
     AstraSession off_session(model.graph(), opts);
     const WirerResult off = off_session.optimize();
     EXPECT_EQ(off.convergence.whatif_evals, 0);
-    EXPECT_EQ(off.convergence.predictor_pruned, 0);
 
     opts.whatif.enabled = true;
     AstraSession on_session(model.graph(), opts);
@@ -332,8 +159,6 @@ TEST(WhatIf, ArmedWirerDeterministicAcrossThreadCounts)
     EXPECT_EQ(four.minibatches, one.minibatches);
     EXPECT_EQ(four.convergence.whatif_evals,
               one.convergence.whatif_evals);
-    EXPECT_EQ(four.convergence.predictor_pruned,
-              one.convergence.predictor_pruned);
     EXPECT_EQ(four.convergence.measured_configs,
               one.convergence.measured_configs);
 }
@@ -357,9 +182,7 @@ TEST(WhatIf, CountersSurfaceInJsonAndCsv)
     EXPECT_NE(json.find("\"whatif_evals\":" +
                         std::to_string(r.convergence.whatif_evals)),
               std::string::npos);
-    EXPECT_NE(json.find("\"predictor_pruned\":" +
-                        std::to_string(r.convergence.predictor_pruned)),
-              std::string::npos);
+    EXPECT_EQ(json.find("predictor_pruned"), std::string::npos);
     EXPECT_NE(json.find("\"measured_configs\":" +
                         std::to_string(r.convergence.measured_configs)),
               std::string::npos);
@@ -367,8 +190,7 @@ TEST(WhatIf, CountersSurfaceInJsonAndCsv)
     std::ostringstream csv;
     r.convergence.write_csv(csv);
     const std::string text = csv.str();
-    EXPECT_NE(text.find("whatif_evals,predictor_pruned,"
-                        "measured_configs"),
+    EXPECT_NE(text.find("whatif_evals,measured_configs\n"),
               std::string::npos);
 }
 
